@@ -53,7 +53,7 @@ pub struct CircuitSim {
     /// stamped `slot = 0`.
     tracer: Tracer,
     spans: SpanTracker,
-    /// Worker lanes shared by the engine, scheduler, and request scans;
+    /// Worker lanes shared by the scheduler and request scans;
     /// a single lane runs the exact sequential path.
     pool: Arc<ShardPool>,
 }
@@ -64,8 +64,7 @@ impl CircuitSim {
         let table = workload.message_table();
         let msgs: Vec<MsgState> = table.iter().map(|m| MsgState::new(*m)).collect();
         let pool = Arc::new(ShardPool::new(params.threads));
-        let mut engine = Engine::new(workload, &table, params.nic_cycle_ns);
-        engine.set_pool(Arc::clone(&pool));
+        let engine = Engine::new(workload, &table, params.nic_cycle_ns);
         let mut scheduler = Scheduler::new(SchedulerConfig::new(params.ports, 1));
         scheduler.set_pool(Arc::clone(&pool));
         assert_eq!(

@@ -7,26 +7,15 @@
 //! *and* the network has drained; `flush`/`preload` raise control effects
 //! the paradigm simulator forwards to the scheduler.
 //!
-//! ## Parallel execution
-//!
-//! Processors are fully independent between barrier releases, so
-//! [`Engine::poll`] shards them across a [`ShardPool`] when one is
-//! attached: each shard advances its processor range and buffers its
-//! effects locally, and the coordinator merges the shard buffers in
-//! canonical `(time, shard, seq)` order ([`pms_trace::shard`]). Because
-//! shards partition processors in index order and each processor's
-//! effects are emitted in nondecreasing time order, that merge is exactly
-//! the stable time sort the sequential path performs — parallel polls are
-//! byte-identical to sequential ones. Barrier release stays on the
-//! coordinator (it is a global O(n) flag scan).
+//! Runnable processors sit in time buckets (an ordered map from due time
+//! to processors; lockstep processors share one), beside a parked list
+//! and a finished count. [`Engine::poll`] runs only the due processors,
+//! in index order — the `(time, proc, command)` effect order of a scan
+//! over every processor. [`Engine::next_wake`] and [`Engine::all_done`]
+//! are O(1); barrier release is a counter comparison.
 
-use pms_par::{split_ranges, ShardPool};
 use pms_workloads::{Command, MsgSpec, Workload};
-use std::sync::Arc;
-
-/// Below this processor count a scatter costs more than the scan; the
-/// threshold only moves work between lanes, never changes results.
-const PAR_MIN_PROCS: usize = 192;
+use std::collections::BTreeMap;
 
 /// A control effect produced by program execution, timestamped with the
 /// exact processor-local time at which the command executed.
@@ -52,14 +41,8 @@ struct Proc {
 }
 
 impl Proc {
-    fn done(&self) -> bool {
-        self.pc >= self.cmds.len() && !self.at_barrier
-    }
-
-    /// Executes this processor up to `now`, buffering effects; returns
-    /// whether any command ran.
-    fn execute(&mut self, now: u64, nic_cycle_ns: u64, effects: &mut Vec<(u64, Effect)>) -> bool {
-        let mut progressed = false;
+    /// Executes this processor up to `now`, buffering effects.
+    fn execute(&mut self, now: u64, nic_cycle_ns: u64, effects: &mut Vec<(u64, Effect)>) {
         while !self.at_barrier && self.pc < self.cmds.len() && self.ready_at <= now {
             let t = self.ready_at;
             match self.cmds[self.pc] {
@@ -90,9 +73,40 @@ impl Proc {
                     self.pc += 1;
                 }
             }
-            progressed = true;
         }
-        progressed
+    }
+}
+
+/// Runnable processors (neither parked nor finished) bucketed by the
+/// time their next command is due; each appears exactly once.
+#[derive(Default)]
+struct ReadyIndex {
+    buckets: BTreeMap<u64, Vec<usize>>,
+    /// Emptied buckets kept for reuse.
+    spare: Vec<Vec<usize>>,
+}
+
+impl ReadyIndex {
+    fn push(&mut self, t: u64, p: usize) {
+        let spare = &mut self.spare;
+        self.buckets
+            .entry(t)
+            .or_insert_with(|| spare.pop().unwrap_or_default())
+            .push(p);
+    }
+
+    /// Moves every processor due by `now` into `due`, in index order.
+    fn pop_due(&mut self, now: u64, due: &mut Vec<usize>) {
+        due.clear();
+        while let Some(entry) = self.buckets.first_entry() {
+            if *entry.key() > now {
+                break;
+            }
+            let mut bucket = entry.remove();
+            due.append(&mut bucket);
+            self.spare.push(bucket);
+        }
+        due.sort_unstable();
     }
 }
 
@@ -100,8 +114,13 @@ impl Proc {
 pub struct Engine {
     procs: Vec<Proc>,
     nic_cycle_ns: u64,
-    /// Worker lanes for sharded polls; `None` runs the sequential path.
-    pool: Option<Arc<ShardPool>>,
+    ready: ReadyIndex,
+    /// Processors parked at the current barrier.
+    parked: Vec<usize>,
+    /// Processors that executed their whole program.
+    finished: usize,
+    /// Scratch list of the processors due in one poll round.
+    due: Vec<usize>,
 }
 
 impl Engine {
@@ -114,7 +133,7 @@ impl Engine {
         for m in table {
             msgs_by_src[m.src].push(m.id);
         }
-        let procs = workload
+        let procs: Vec<Proc> = workload
             .programs
             .iter()
             .zip(msgs_by_src)
@@ -127,34 +146,34 @@ impl Engine {
                 next_msg: 0,
             })
             .collect();
+        let mut ready = ReadyIndex::default();
+        let mut finished = 0;
+        for (i, p) in procs.iter().enumerate() {
+            if p.cmds.is_empty() {
+                finished += 1;
+            } else {
+                ready.push(0, i);
+            }
+        }
         Self {
             procs,
             nic_cycle_ns,
-            pool: None,
-        }
-    }
-
-    /// Attaches the shard pool used to parallelize polls. A single-lane
-    /// pool is ignored — the sequential path is the 1-thread code path.
-    pub fn set_pool(&mut self, pool: Arc<ShardPool>) {
-        if pool.threads() > 1 {
-            self.pool = Some(pool);
+            ready,
+            parked: Vec::new(),
+            finished,
+            due: Vec::new(),
         }
     }
 
     /// True when every processor has executed its whole program.
     pub fn all_done(&self) -> bool {
-        self.procs.iter().all(Proc::done)
+        self.finished == self.procs.len()
     }
 
     /// The earliest future time at which a processor has work to run, or
     /// `None` if all are done or blocked on a barrier.
     pub fn next_wake(&self) -> Option<u64> {
-        self.procs
-            .iter()
-            .filter(|p| !p.done() && !p.at_barrier)
-            .map(|p| p.ready_at)
-            .min()
+        self.ready.buckets.first_key_value().map(|(&t, _)| t)
     }
 
     /// Runs every processor forward to `now`. `network_drained` must be
@@ -168,11 +187,10 @@ impl Engine {
     pub fn poll(&mut self, now: u64, network_drained: bool) -> Vec<(u64, Effect)> {
         let mut effects = Vec::new();
         loop {
-            let progressed = self.execute_all(now, &mut effects);
+            self.run_due(now, &mut effects);
             let drained =
                 network_drained && !effects.iter().any(|(_, e)| matches!(e, Effect::Inject(_)));
-            let released = self.try_release_barrier(now, drained);
-            if !progressed && !released {
+            if !self.try_release_barrier(now, drained) {
                 break;
             }
         }
@@ -180,65 +198,45 @@ impl Engine {
         effects
     }
 
+    /// Runs every processor due by `now`, in index order, and files each
+    /// back as runnable, parked, or finished.
+    fn run_due(&mut self, now: u64, effects: &mut Vec<(u64, Effect)>) {
+        self.ready.pop_due(now, &mut self.due);
+        for &p in &self.due {
+            let proc = &mut self.procs[p];
+            proc.execute(now, self.nic_cycle_ns, effects);
+            if proc.at_barrier {
+                self.parked.push(p);
+            } else if proc.pc < proc.cmds.len() {
+                self.ready.push(proc.ready_at, p);
+            } else {
+                self.finished += 1;
+            }
+        }
+    }
+
     /// Releases the barrier if every processor is parked (or finished) and
     /// the network is empty. Returns whether a release happened.
     fn try_release_barrier(&mut self, now: u64, network_drained: bool) -> bool {
         if !network_drained
-            || !self.procs.iter().any(|p| p.at_barrier)
-            || !self.procs.iter().all(|p| p.at_barrier || p.done())
+            || self.parked.is_empty()
+            || self.parked.len() + self.finished < self.procs.len()
         {
             return false;
         }
-        for p in &mut self.procs {
-            if p.at_barrier {
-                p.at_barrier = false;
-                p.pc += 1;
-                p.ready_at = p.ready_at.max(now);
+        for &p in &self.parked {
+            let proc = &mut self.procs[p];
+            proc.at_barrier = false;
+            proc.pc += 1;
+            proc.ready_at = proc.ready_at.max(now);
+            if proc.pc < proc.cmds.len() {
+                self.ready.push(proc.ready_at, p);
+            } else {
+                self.finished += 1;
             }
         }
+        self.parked.clear();
         true
-    }
-
-    /// Executes every processor up to `now`; returns whether any command
-    /// ran. With a pool attached the processor range is sharded and the
-    /// per-shard effect buffers are merged in shard order — which *is*
-    /// processor order, so the result is identical to the sequential scan.
-    fn execute_all(&mut self, now: u64, effects: &mut Vec<(u64, Effect)>) -> bool {
-        let before = effects.len();
-        let nic_cycle_ns = self.nic_cycle_ns;
-        let mut progressed = false;
-        match &self.pool {
-            Some(pool) if self.procs.len() >= PAR_MIN_PROCS => {
-                type ProcShard<'a> = (&'a mut [Proc], Vec<(u64, Effect)>, bool);
-                let ranges = split_ranges(self.procs.len(), pool.threads() * 4);
-                let mut shards: Vec<ProcShard> = Vec::new();
-                let mut rest = self.procs.as_mut_slice();
-                for r in &ranges {
-                    let (head, tail) = rest.split_at_mut(r.len());
-                    rest = tail;
-                    shards.push((head, Vec::new(), false));
-                }
-                pool.scatter_mut(&mut shards, |_, (procs, buf, prog)| {
-                    for p in procs.iter_mut() {
-                        *prog |= p.execute(now, nic_cycle_ns, buf);
-                    }
-                });
-                // Boundary merge: shard buffers in canonical
-                // (time, shard, seq) order; `poll` applies the same
-                // stable time sort to the whole batch afterwards, so
-                // this equals the sequential accumulation exactly.
-                let (bufs, progs): (Vec<_>, Vec<_>) =
-                    shards.into_iter().map(|(_, buf, prog)| (buf, prog)).unzip();
-                progressed = progs.into_iter().any(|p| p);
-                effects.extend(pms_trace::shard::merge_by_key(bufs, |&(t, _)| t));
-            }
-            _ => {
-                for p in &mut self.procs {
-                    progressed |= p.execute(now, nic_cycle_ns, effects);
-                }
-            }
-        }
-        progressed || effects.len() > before
     }
 }
 
@@ -246,6 +244,7 @@ impl Engine {
 mod tests {
     use super::*;
     use pms_workloads::Program;
+    use proptest::prelude::*;
 
     fn wl(programs: Vec<Program>) -> (Workload, Vec<MsgSpec>) {
         let n = programs.len();
@@ -342,40 +341,154 @@ mod tests {
         assert!(e.poll(0, true).is_empty());
     }
 
-    /// A mixed workload (staggered sends, delays, barriers) polled in
-    /// lockstep by a sequential and a sharded engine must produce
-    /// identical effect streams at every step.
-    #[test]
-    fn parallel_poll_is_byte_identical() {
-        let n = PAR_MIN_PROCS + 13; // force the sharded path
-        let programs: Vec<Program> = (0..n)
-            .map(|p| {
-                let mut prog = Program::new();
-                prog.delay((p as u64 * 7) % 90);
-                prog.send((p + 1) % n, 8 + (p as u32 % 56));
-                prog.send((p + 3) % n, 16);
-                prog.barrier();
-                prog.send((p + 2) % n, 32);
-                prog
-            })
-            .collect();
-        let (w, table) = wl(programs);
-        let mut seq = Engine::new(&w, &table, 10);
-        let mut par = Engine::new(&w, &table, 10);
-        par.set_pool(Arc::new(ShardPool::new(4)));
-        for step in 0..200u64 {
-            let t = step * 10;
-            // Pretend the network drains every 4th step so barriers
-            // exercise both gated and released polls.
-            let drained = step % 4 == 0;
-            assert_eq!(
-                seq.poll(t, drained),
-                par.poll(t, drained),
-                "divergence at t={t}"
-            );
-            assert_eq!(seq.next_wake(), par.next_wake());
-            assert_eq!(seq.all_done(), par.all_done());
+    /// The linear-scan engine the ready index replaced: every poll scans
+    /// every processor, and barrier release is a flag scan. Kept as the
+    /// equivalence oracle.
+    struct ScanEngine {
+        procs: Vec<Proc>,
+        nic_cycle_ns: u64,
+    }
+
+    impl ScanEngine {
+        fn new(workload: &Workload, table: &[MsgSpec], nic_cycle_ns: u64) -> Self {
+            let e = Engine::new(workload, table, nic_cycle_ns);
+            Self {
+                procs: e.procs,
+                nic_cycle_ns,
+            }
         }
-        assert!(seq.all_done());
+
+        fn done(p: &Proc) -> bool {
+            p.pc >= p.cmds.len() && !p.at_barrier
+        }
+
+        fn all_done(&self) -> bool {
+            self.procs.iter().all(Self::done)
+        }
+
+        fn next_wake(&self) -> Option<u64> {
+            self.procs
+                .iter()
+                .filter(|p| !Self::done(p) && !p.at_barrier)
+                .map(|p| p.ready_at)
+                .min()
+        }
+
+        fn poll(&mut self, now: u64, network_drained: bool) -> Vec<(u64, Effect)> {
+            let mut effects = Vec::new();
+            // One more scan after a pass that released nothing finds
+            // nothing due, so the fixpoint ends at the first such pass.
+            loop {
+                for p in &mut self.procs {
+                    p.execute(now, self.nic_cycle_ns, &mut effects);
+                }
+                let drained =
+                    network_drained && !effects.iter().any(|(_, e)| matches!(e, Effect::Inject(_)));
+                let released = drained
+                    && self.procs.iter().any(|p| p.at_barrier)
+                    && self.procs.iter().all(|p| p.at_barrier || Self::done(p));
+                if !released {
+                    break;
+                }
+                for p in &mut self.procs {
+                    if p.at_barrier {
+                        p.at_barrier = false;
+                        p.pc += 1;
+                        p.ready_at = p.ready_at.max(now);
+                    }
+                }
+            }
+            effects.sort_by_key(|&(t, _)| t);
+            effects
+        }
+    }
+
+    fn cmd_strategy(n: usize) -> impl Strategy<Value = Command> {
+        prop_oneof![
+            4 => (0..n, 1u32..300).prop_map(|(dst, bytes)| Command::Send { dst, bytes }),
+            1 => Just(Command::Delay { ns: 0 }),
+            2 => (1u64..400).prop_map(|ns| Command::Delay { ns }),
+            2 => Just(Command::Barrier),
+            1 => Just(Command::Flush),
+            1 => (0usize..3).prop_map(|pattern| Command::Preload { pattern }),
+        ]
+    }
+
+    /// Programs for `n` processors (some empty); self-sends are skewed to
+    /// the next processor, and a lone processor sends nothing.
+    fn programs_strategy() -> impl Strategy<Value = Vec<Program>> {
+        (1usize..10).prop_flat_map(|n| {
+            prop::collection::vec(prop::collection::vec(cmd_strategy(n), 0..9), n).prop_map(
+                move |procs| {
+                    procs
+                        .into_iter()
+                        .enumerate()
+                        .map(|(p, cmds)| {
+                            let mut prog = Program::new();
+                            for c in cmds {
+                                match c {
+                                    Command::Send { .. } if n == 1 => {}
+                                    Command::Send { dst, bytes } => {
+                                        let dst = if dst == p { (dst + 1) % n } else { dst };
+                                        prog.send(dst, bytes);
+                                    }
+                                    c => prog.cmds.push(c),
+                                }
+                            }
+                            prog
+                        })
+                        .collect()
+                },
+            )
+        })
+    }
+
+    /// Poll steps: a time advance (often zero, sometimes to the engine's
+    /// own next wake) and the `network_drained` flag.
+    fn steps_strategy() -> impl Strategy<Value = Vec<(Option<u64>, bool)>> {
+        let advance = prop_oneof![
+            2 => Just(Some(0u64)),
+            3 => (1u64..40).prop_map(Some),
+            1 => (100u64..600).prop_map(Some),
+            2 => Just(None),
+        ];
+        let drained = prop_oneof![1 => Just(false), 2 => Just(true)];
+        prop::collection::vec((advance, drained), 1..60)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The ready-indexed engine and the linear-scan oracle agree on
+        /// every effect vector, `next_wake` and `all_done` at every step,
+        /// whatever the programs and drain flags.
+        #[test]
+        fn ready_index_matches_linear_scan(
+            programs in programs_strategy(),
+            steps in steps_strategy(),
+        ) {
+            let (w, table) = wl(programs);
+            let mut fast = Engine::new(&w, &table, 10);
+            let mut scan = ScanEngine::new(&w, &table, 10);
+            prop_assert_eq!(fast.next_wake(), scan.next_wake());
+            prop_assert_eq!(fast.all_done(), scan.all_done());
+            let mut now = 0u64;
+            // `None` jumps to the next wake (or one tick on when nothing
+            // is runnable); a drained tail then finishes every program.
+            let tail = std::iter::repeat_n((None, true), 2 * 9 * w.ports + 16);
+            for (i, (advance, drained)) in steps.into_iter().chain(tail).enumerate() {
+                now += advance.unwrap_or_else(|| {
+                    scan.next_wake().map_or(1, |t| t.saturating_sub(now))
+                });
+                prop_assert_eq!(
+                    fast.poll(now, drained),
+                    scan.poll(now, drained),
+                    "effects diverge at step {} (t={})", i, now
+                );
+                prop_assert_eq!(fast.next_wake(), scan.next_wake(), "next_wake at step {}", i);
+                prop_assert_eq!(fast.all_done(), scan.all_done(), "all_done at step {}", i);
+            }
+            prop_assert!(fast.all_done(), "a drained tail must finish every program");
+        }
     }
 }

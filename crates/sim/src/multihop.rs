@@ -60,6 +60,12 @@ pub struct MultihopWormholeSim {
     engine: Engine,
     events: BinaryHeap<Reverse<(u64, u64, Ev)>>,
     seq: u64,
+    /// The future time the one pending `EngineWake` event is scheduled
+    /// for; cleared when that event pops.
+    engine_wake_at: Option<u64>,
+    /// `EngineWake` events popped, and the distinct times among them.
+    engine_wakes: u64,
+    engine_wake_times: u64,
     /// Per source host: worms awaiting first transmission (FIFO).
     source_fifo: Vec<VecDeque<Worm>>,
     source_busy: Vec<bool>,
@@ -92,8 +98,7 @@ impl MultihopWormholeSim {
         let table = workload.message_table();
         let msgs: Vec<MsgState> = table.iter().map(|m| MsgState::new(*m)).collect();
         let routes: Vec<Vec<usize>> = table.iter().map(|m| torus.route(m.src, m.dst)).collect();
-        let mut engine = Engine::new(workload, &table, params.nic_cycle_ns);
-        engine.set_pool(std::sync::Arc::new(pms_par::ShardPool::new(params.threads)));
+        let engine = Engine::new(workload, &table, params.nic_cycle_ns);
         let links = torus.links();
         let hosts = torus.ports();
         Self {
@@ -105,6 +110,9 @@ impl MultihopWormholeSim {
             engine,
             events: BinaryHeap::new(),
             seq: 0,
+            engine_wake_at: None,
+            engine_wakes: 0,
+            engine_wake_times: 0,
             source_fifo: vec![VecDeque::new(); hosts],
             source_busy: vec![false; hosts],
             link_queue: vec![VecDeque::new(); links],
@@ -138,22 +146,7 @@ impl MultihopWormholeSim {
     /// Like [`run`](Self::run) but also returns the tracer and its
     /// collected records.
     pub fn run_traced(mut self) -> (SimStats, Tracer) {
-        self.poll_engine(0);
-        let mut end_t = 0;
-        while let Some(Reverse((t, _, ev))) = self.events.pop() {
-            end_t = end_t.max(t);
-            assert!(
-                t <= self.params.max_sim_ns,
-                "multihop simulation exceeded {} ns (deadlock?)",
-                self.params.max_sim_ns
-            );
-            match ev {
-                Ev::EngineWake => self.poll_engine(t),
-                Ev::SourceDone(h) => self.source_done(h, t),
-                Ev::LinkDone(l) => self.link_done(l, t),
-                Ev::DestDone(h) => self.dest_done(h, t),
-            }
-        }
+        let end_t = self.run_events();
         assert!(
             self.engine.all_done() && self.undelivered == 0,
             "multihop simulation stalled with {} undelivered",
@@ -170,6 +163,38 @@ impl MultihopWormholeSim {
         (stats, tracer)
     }
 
+    /// Pops events until the queue empties; returns the time of the last.
+    fn run_events(&mut self) -> u64 {
+        self.poll_engine(0);
+        let mut end_t = 0;
+        let mut last_wake = None;
+        while let Some(Reverse((t, _, ev))) = self.events.pop() {
+            end_t = end_t.max(t);
+            assert!(
+                t <= self.params.max_sim_ns,
+                "multihop simulation exceeded {} ns (deadlock?)",
+                self.params.max_sim_ns
+            );
+            match ev {
+                Ev::EngineWake => {
+                    self.engine_wakes += 1;
+                    if last_wake != Some(t) {
+                        self.engine_wake_times += 1;
+                        last_wake = Some(t);
+                    }
+                    if self.engine_wake_at == Some(t) {
+                        self.engine_wake_at = None;
+                    }
+                    self.poll_engine(t);
+                }
+                Ev::SourceDone(h) => self.source_done(h, t),
+                Ev::LinkDone(l) => self.link_done(l, t),
+                Ev::DestDone(h) => self.dest_done(h, t),
+            }
+        }
+        end_t
+    }
+
     fn poll_engine(&mut self, now: u64) {
         let drained = self.undelivered == 0;
         for (t, fx) in self.engine.poll(now, drained) {
@@ -178,9 +203,15 @@ impl MultihopWormholeSim {
                 Effect::Flush | Effect::Preload(_) => {}
             }
         }
-        if let Some(w) = self.engine.next_wake() {
-            if w > now {
-                self.push_event(w, Ev::EngineWake);
+        // One pending wake suffices (see `WormholeSim::poll_engine`).
+        if let Some(wake) = self.engine.next_wake() {
+            if wake > now && self.engine_wake_at.is_none_or(|w| w <= now || wake < w) {
+                debug_assert!(
+                    self.engine_wake_at.is_none_or(|w| w <= now),
+                    "a second engine wake would be pending"
+                );
+                self.engine_wake_at = Some(wake);
+                self.push_event(wake, Ev::EngineWake);
             }
         }
     }
@@ -454,6 +485,25 @@ mod tests {
         let stats = MultihopWormholeSim::new(&w, &params(), torus()).run();
         assert_eq!(stats.delivered_messages as usize, w.message_count());
         assert_eq!(stats.delivered_bytes, w.total_bytes());
+    }
+
+    /// Each engine wake time is popped once, however many worms drain
+    /// between wakes.
+    #[test]
+    fn one_engine_wake_per_wake_time() {
+        use pms_workloads::{random_mesh, MeshSpec};
+        let t = TorusNetwork::new(4, 4, 4); // 64 hosts
+        let w = random_mesh(MeshSpec::for_ports(64), 64, 4, 500, 100, 7);
+        let mut sim = MultihopWormholeSim::new(&w, &SimParams::default().with_ports(64), t);
+        sim.run_events();
+        assert_eq!(sim.undelivered, 0);
+        assert!(sim.engine_wake_times > 0);
+        assert!(
+            sim.engine_wakes <= sim.engine_wake_times + 1,
+            "{} engine wakes popped for {} distinct wake times",
+            sim.engine_wakes,
+            sim.engine_wake_times
+        );
     }
 
     #[test]

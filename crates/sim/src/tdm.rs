@@ -178,7 +178,7 @@ pub struct TdmSim {
     /// The TDM register most recently driving the crossbar, used to stamp
     /// trace records.
     cur_slot: u32,
-    /// Worker lanes shared by the engine, scheduler, and the per-port
+    /// Worker lanes shared by the scheduler and the per-port
     /// scans. One lane (`params.threads == 1`) spawns no threads and runs
     /// the exact sequential code path.
     pool: Arc<ShardPool>,
@@ -198,8 +198,7 @@ impl TdmSim {
         let table = workload.message_table();
         let msgs: Vec<MsgState> = table.iter().map(|m| MsgState::new(*m)).collect();
         let pool = Arc::new(ShardPool::new(params.threads));
-        let mut engine = Engine::new(workload, &table, params.nic_cycle_ns);
-        engine.set_pool(Arc::clone(&pool));
+        let engine = Engine::new(workload, &table, params.nic_cycle_ns);
         let k = params.tdm_slots;
 
         let mut initial_loads = 0u64;
@@ -385,8 +384,7 @@ impl TdmSim {
         }
         let msgs: Vec<MsgState> = table.iter().map(|m| MsgState::new(*m)).collect();
         let pool = Arc::new(ShardPool::new(params.threads));
-        let mut engine = Engine::new(workload, &table, params.nic_cycle_ns);
-        engine.set_pool(Arc::clone(&pool));
+        let engine = Engine::new(workload, &table, params.nic_cycle_ns);
         // Initial window: the first K configs, loaded sequentially (same
         // as the compiled stream).
         let k = params.tdm_slots;

@@ -90,6 +90,8 @@ pub struct WormholeSim {
     waiting: Vec<bool>,
     /// Per output: inputs waiting for the port, FIFO.
     out_waiters: Vec<VecDeque<usize>>,
+    /// Scratch list of the waiters a drained output wakes.
+    woken: Vec<usize>,
     /// Per output: busy until this time.
     out_busy: Vec<u64>,
     undelivered: usize,
@@ -102,6 +104,12 @@ pub struct WormholeSim {
     held: Vec<Option<usize>>,
     /// The fault boundary a `FaultWake` event is already scheduled for.
     fault_wake_at: Option<u64>,
+    /// The future time the one pending `EngineWake` event is scheduled
+    /// for; cleared when that event pops.
+    engine_wake_at: Option<u64>,
+    /// `EngineWake` events popped, and the distinct times among them.
+    engine_wakes: u64,
+    engine_wake_times: u64,
     msg_retries: u64,
     msgs_abandoned: u64,
     /// Event sink; a wormhole switch has no TDM slots, so records are
@@ -125,8 +133,7 @@ impl WormholeSim {
     ) -> Self {
         let table = workload.message_table();
         let msgs: Vec<MsgState> = table.iter().map(|m| MsgState::new(*m)).collect();
-        let mut engine = Engine::new(workload, &table, params.nic_cycle_ns);
-        engine.set_pool(std::sync::Arc::new(pms_par::ShardPool::new(params.threads)));
+        let engine = Engine::new(workload, &table, params.nic_cycle_ns);
         let n = params.ports;
         assert_eq!(workload.ports, n, "workload/params port mismatch");
         let lanes = match queueing {
@@ -148,12 +155,16 @@ impl WormholeSim {
             draining: vec![None; n],
             waiting: vec![false; n],
             out_waiters: vec![VecDeque::new(); n],
+            woken: Vec::new(),
             out_busy: vec![0; n],
             undelivered: 0,
             grants: 0,
             faults: None,
             held: vec![None; n],
             fault_wake_at: None,
+            engine_wake_at: None,
+            engine_wakes: 0,
+            engine_wake_times: 0,
             msg_retries: 0,
             msgs_abandoned: 0,
             tracer: Tracer::Null,
@@ -190,32 +201,7 @@ impl WormholeSim {
     /// Like [`run`](Self::run) but also returns the tracer and its
     /// collected records.
     pub fn run_traced(mut self) -> (SimStats, Tracer) {
-        self.poll_faults(0);
-        self.poll_engine(0);
-        let mut end_t = 0;
-        while let Some(Reverse((t, _, ev))) = self.events.pop() {
-            end_t = end_t.max(t);
-            if self.engine.all_done() && self.undelivered == 0 {
-                // Only stale wake-ups remain (fault boundaries can extend
-                // far past the last delivery).
-                break;
-            }
-            assert!(
-                t <= self.params.max_sim_ns,
-                "wormhole simulation exceeded {} ns (deadlock?)",
-                self.params.max_sim_ns
-            );
-            self.poll_faults(t);
-            match ev {
-                Ev::EngineWake => self.poll_engine(t),
-                Ev::UploadDone(u) => self.upload_done(u, t),
-                Ev::DrainDone(u, v) => self.drain_done(u, v, t),
-                // Handled by the poll_faults above.
-                Ev::FaultWake => {}
-                Ev::GrantRetry(u) => self.try_grant(u, t),
-                Ev::Reinject(msg) => self.reinject(msg, t),
-            }
-        }
+        let end_t = self.run_events();
         assert!(
             self.engine.all_done() && self.undelivered == 0,
             "wormhole simulation stalled with {} undelivered messages",
@@ -233,6 +219,49 @@ impl WormholeSim {
         (stats, tracer)
     }
 
+    /// Pops events until the queue empties or only stale wake-ups remain;
+    /// returns the time of the last event popped.
+    fn run_events(&mut self) -> u64 {
+        self.poll_faults(0);
+        self.poll_engine(0);
+        let mut end_t = 0;
+        let mut last_wake = None;
+        while let Some(Reverse((t, _, ev))) = self.events.pop() {
+            end_t = end_t.max(t);
+            if self.engine.all_done() && self.undelivered == 0 {
+                // Only stale wake-ups remain (fault boundaries can extend
+                // far past the last delivery).
+                break;
+            }
+            assert!(
+                t <= self.params.max_sim_ns,
+                "wormhole simulation exceeded {} ns (deadlock?)",
+                self.params.max_sim_ns
+            );
+            self.poll_faults(t);
+            match ev {
+                Ev::EngineWake => {
+                    self.engine_wakes += 1;
+                    if last_wake != Some(t) {
+                        self.engine_wake_times += 1;
+                        last_wake = Some(t);
+                    }
+                    if self.engine_wake_at == Some(t) {
+                        self.engine_wake_at = None;
+                    }
+                    self.poll_engine(t);
+                }
+                Ev::UploadDone(u) => self.upload_done(u, t),
+                Ev::DrainDone(u, v) => self.drain_done(u, v, t),
+                // Handled by the poll_faults above.
+                Ev::FaultWake => {}
+                Ev::GrantRetry(u) => self.try_grant(u, t),
+                Ev::Reinject(msg) => self.reinject(msg, t),
+            }
+        }
+        end_t
+    }
+
     fn poll_engine(&mut self, now: u64) {
         let drained = self.undelivered == 0;
         let effects = self.engine.poll(now, drained);
@@ -244,8 +273,16 @@ impl WormholeSim {
                 Effect::Flush | Effect::Preload(_) => {}
             }
         }
+        // One pending wake suffices: the engine's next wake cannot move
+        // while a later-timed wake is pending, and a pending wake at or
+        // before `now` has just been served by this poll.
         if let Some(wake) = self.engine.next_wake() {
-            if wake > now {
+            if wake > now && self.engine_wake_at.is_none_or(|w| w <= now || wake < w) {
+                debug_assert!(
+                    self.engine_wake_at.is_none_or(|w| w <= now),
+                    "a second engine wake would be pending"
+                );
+                self.engine_wake_at = Some(wake);
                 self.push_event(wake, Ev::EngineWake);
             }
         }
@@ -623,11 +660,14 @@ impl WormholeSim {
             // Wake everyone waiting for this output: with VOQ bypass a
             // woken input may grant a different output, so waking only one
             // waiter could strand the port. Blocked inputs re-register.
-            let waiters: Vec<usize> = self.out_waiters[v].drain(..).collect();
-            for w in waiters {
+            let mut woken = std::mem::take(&mut self.woken);
+            woken.extend(self.out_waiters[v].drain(..));
+            for &w in &woken {
                 self.waiting[w] = false;
                 self.try_grant(w, now);
             }
+            woken.clear();
+            self.woken = woken;
         }
         self.try_grant(u, now);
         self.try_upload(u, now);
@@ -784,6 +824,25 @@ mod tests {
             "VOQ {} must beat FIFO {} under load",
             voq.makespan_ns,
             fifo.makespan_ns
+        );
+    }
+
+    /// Each engine wake time is popped once: a poll never queues a
+    /// second `EngineWake` while one is pending, so wakes do not pile up
+    /// behind the worms that drain between them.
+    #[test]
+    fn one_engine_wake_per_wake_time() {
+        use pms_workloads::random_mesh;
+        let w = random_mesh(MeshSpec::for_ports(64), 64, 4, 500, 100, 7);
+        let mut sim = WormholeSim::new(&w, &small_params(64));
+        sim.run_events();
+        assert_eq!(sim.undelivered, 0);
+        assert!(sim.engine_wake_times > 0);
+        assert!(
+            sim.engine_wakes <= sim.engine_wake_times + 1,
+            "{} engine wakes popped for {} distinct wake times",
+            sim.engine_wakes,
+            sim.engine_wake_times
         );
     }
 

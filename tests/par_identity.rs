@@ -171,10 +171,10 @@ proptest! {
     }
 }
 
-/// A run big enough to cross the parallel thresholds (256 procs ≥ the
-/// engine's 192-proc gate, 256 ports ≥ the VOQ scan's 256-port gate), so
-/// at `threads > 1` the sharded paths actually execute and must still
-/// match the 1-thread legacy path byte for byte.
+/// A run big enough to cross the parallel thresholds (256 ports ≥ the
+/// VOQ scan's and TDM lookup classification's 256-port gate), so at
+/// `threads > 1` the sharded paths actually execute and must still match
+/// the 1-thread legacy path byte for byte.
 #[test]
 fn large_run_crosses_parallel_thresholds() {
     let workload = uniform(256, 64, 2, 17);
